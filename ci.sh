@@ -23,6 +23,9 @@ build_release() {
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== perfbench build (its own workspace; uses the facade's diag and serve API) =="
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test =="
 cargo test -q --workspace
 

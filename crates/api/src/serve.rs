@@ -149,7 +149,7 @@ pub fn serve(program: Program, opts: &ServeOptions) -> Result<(), String> {
     let listener = UnixListener::bind(&opts.socket)
         .map_err(|e| format!("bind {}: {e}", opts.socket.display()))?;
     let stop = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
+    let mut workers = Workers::default();
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -166,18 +166,36 @@ pub fn serve(program: Program, opts: &ServeOptions) -> Result<(), String> {
         let program = program.clone();
         let stop = Arc::clone(&stop);
         let conn_opts = opts.clone();
-        workers.push(std::thread::spawn(move || {
-            serve_connection(stream, &program, &stop, &conn_opts);
-        }));
+        workers.spawn(move || serve_connection(stream, &program, &stop, &conn_opts));
     }
-    for w in workers {
-        let _ = w.join();
-    }
+    workers.join_all();
     let _ = std::fs::remove_file(&opts.socket);
     // Clean shutdown: push any still-buffered telemetry to the sink so
     // the final requests' events are never lost.
     let _ = telemetry::flush();
     Ok(())
+}
+
+/// The daemon's connection threads. Finished threads are joined before
+/// each new one is spawned, so the retained handles are bounded by the
+/// live connections rather than growing with every request served.
+#[derive(Default)]
+struct Workers(Vec<std::thread::JoinHandle<()>>);
+
+impl Workers {
+    fn spawn(&mut self, f: impl FnOnce() + Send + 'static) {
+        for done in self.0.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        self.0.push(std::thread::spawn(f));
+    }
+
+    /// Waits for every connection thread still running (shutdown).
+    fn join_all(self) {
+        for h in self.0 {
+            let _ = h.join();
+        }
+    }
 }
 
 /// Increments the in-flight gauge for its lifetime (drop-safe).
@@ -542,6 +560,35 @@ mod tests {
     /// Spawns a daemon thread and waits until it answers pings.
     fn spawn_daemon(tag: &str) -> (PathBuf, std::thread::JoinHandle<Result<(), String>>) {
         spawn_daemon_with(tag, |o| o)
+    }
+
+    #[test]
+    fn retained_connection_threads_stay_bounded() {
+        // Sequential connections through the daemon's own handler: each
+        // finished connection thread is joined when the next one is
+        // spawned, so one handle is retained however many were served.
+        let program = test_program();
+        let stop = Arc::new(AtomicBool::new(false));
+        let opts = ServeOptions::new(sock_path("reap"));
+        let mut workers = Workers::default();
+        for _ in 0..50 {
+            let (client, server) = UnixStream::pair().unwrap();
+            let (p, s, o) = (program.clone(), Arc::clone(&stop), opts.clone());
+            workers.spawn(move || serve_connection(server, &p, &s, &o));
+            assert_eq!(workers.0.len(), 1, "finished connections must be joined");
+            let mut writer = client.try_clone().unwrap();
+            writeln!(writer, "{}", Json::obj(vec![("op", Json::from("ping"))])).unwrap();
+            let mut line = String::new();
+            BufReader::new(client).read_line(&mut line).unwrap();
+            assert!(line.contains("\"pong\":true"), "{line}");
+            drop(writer);
+            let deadline = Instant::now() + std::time::Duration::from_secs(5);
+            while !workers.0.iter().all(|h| h.is_finished()) {
+                assert!(Instant::now() < deadline, "connection thread did not exit");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        workers.join_all();
     }
 
     #[test]

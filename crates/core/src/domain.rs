@@ -188,6 +188,10 @@ pub trait Domain: Sized + Clone {
     /// through hardware-FMA/SIMD code paths whose results IEEE 754 pins
     /// down exactly (`safegen_interval::cols`).
     ///
+    /// Whether a kernel exists for `op` must not depend on the lane
+    /// count: before snapshotting an aliased column the VM asks with
+    /// empty columns, and a `false` there skips the copy.
+    ///
     /// Only called on protect-free operations (a pending
     /// `#pragma safegen prioritize` forces the per-lane path), so
     /// kernels never see a protect set.

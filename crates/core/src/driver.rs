@@ -696,65 +696,60 @@ fn to_report<D: Domain>(r: crate::exec::RunResult<D>) -> RunReport {
     }
 }
 
+/// One run shape, instantiated per domain by [`with_domain`].
+trait DomainRun {
+    type Out;
+    /// Runs under domain `D`; `new_cx` builds a fresh context for it.
+    fn run<D: Domain>(self, new_cx: impl Fn() -> D::Ctx) -> Self::Out;
+}
+
+/// The one `DomainKind` → (domain type, fresh context) table behind
+/// [`run_on`] and [`run_lanes_on`].
+fn with_domain<R: DomainRun>(config: &RunConfig, r: R) -> R::Out {
+    let aa = config.aa;
+    match config.kind {
+        DomainKind::Unsound => r.run::<UnsoundF64>(|| ()),
+        DomainKind::IntervalF64 => r.run::<IntervalF64>(|| ()),
+        DomainKind::IntervalDd => r.run::<IntervalDd>(|| ()),
+        DomainKind::AffineF64 => r.run::<AffineF64>(|| AaContext::new(aa)),
+        DomainKind::AffineDd => r.run::<AffineDd>(|| AaContext::new(aa)),
+        DomainKind::AffineF32 => r.run::<AffineF32>(|| AaContext::new(aa)),
+        DomainKind::YalaaAff0 => r.run::<YalaaAff0>(BaselineCtx::new),
+        DomainKind::YalaaAff1 => r.run::<YalaaAff1>(BaselineCtx::new),
+        DomainKind::Ceres => r.run::<CeresAffine>(|| CeresCtx {
+            ctx: BaselineCtx::new(),
+            k: aa.k,
+        }),
+    }
+}
+
 /// Runs an already-compiled program under a configuration.
 ///
 /// # Errors
 ///
 /// Returns the VM error message on execution failure.
 pub fn run_on(prog: &Program, args: &[ArgValue], config: &RunConfig) -> Result<RunReport, String> {
-    let e = |e: crate::exec::ExecError| e.message;
-    let mode = config.loop_mode;
-    let fcfg = FixpointConfig::for_mode(mode, config.unroll_budget);
-    telemetry::span("vm.exec", || match config.kind {
-        DomainKind::Unsound => exec_fixpoint::<UnsoundF64>(prog, args, &(), mode, &fcfg)
-            .map(to_report)
-            .map_err(e),
-        DomainKind::IntervalF64 => exec_fixpoint::<IntervalF64>(prog, args, &(), mode, &fcfg)
-            .map(to_report)
-            .map_err(e),
-        DomainKind::IntervalDd => exec_fixpoint::<IntervalDd>(prog, args, &(), mode, &fcfg)
-            .map(to_report)
-            .map_err(e),
-        DomainKind::AffineF64 => {
-            let cx = AaContext::new(config.aa);
-            exec_fixpoint::<AffineF64>(prog, args, &cx, mode, &fcfg)
+    struct Scalar<'a> {
+        prog: &'a Program,
+        args: &'a [ArgValue],
+        mode: LoopMode,
+        fcfg: FixpointConfig,
+    }
+    impl DomainRun for Scalar<'_> {
+        type Out = Result<RunReport, String>;
+        fn run<D: Domain>(self, new_cx: impl Fn() -> D::Ctx) -> Self::Out {
+            exec_fixpoint::<D>(self.prog, self.args, &new_cx(), self.mode, &self.fcfg)
                 .map(to_report)
-                .map_err(e)
+                .map_err(|e| e.message)
         }
-        DomainKind::AffineDd => {
-            let cx = AaContext::new(config.aa);
-            exec_fixpoint::<AffineDd>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::AffineF32 => {
-            let cx = AaContext::new(config.aa);
-            exec_fixpoint::<AffineF32>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::YalaaAff0 => {
-            let cx = BaselineCtx::new();
-            exec_fixpoint::<YalaaAff0>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::YalaaAff1 => {
-            let cx = BaselineCtx::new();
-            exec_fixpoint::<YalaaAff1>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::Ceres => {
-            let cx = CeresCtx {
-                ctx: BaselineCtx::new(),
-                k: config.aa.k,
-            };
-            exec_fixpoint::<CeresAffine>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-    })
+    }
+    let run = Scalar {
+        prog,
+        args,
+        mode: config.loop_mode,
+        fcfg: FixpointConfig::for_mode(config.loop_mode, config.unroll_budget),
+    };
+    telemetry::span("vm.exec", || with_domain(config, run))
 }
 
 /// Runs an already-compiled program on a whole lane group at once
@@ -775,14 +770,20 @@ pub fn run_lanes_on(
     inputs: &[Vec<ArgValue>],
     config: &RunConfig,
 ) -> Vec<Result<RunReport, String>> {
-    use crate::lanes::exec_lanes;
-
-    fn collect<D: Domain>(
-        rs: Vec<Result<crate::exec::RunResult<D>, crate::exec::ExecError>>,
-    ) -> Vec<Result<RunReport, String>> {
-        rs.into_iter()
-            .map(|r| r.map(to_report).map_err(|e| e.message))
-            .collect()
+    struct Lanes<'a> {
+        prog: &'a Program,
+        fixed: &'a crate::program::FixedProgram,
+        inputs: &'a [Vec<ArgValue>],
+    }
+    impl DomainRun for Lanes<'_> {
+        type Out = Vec<Result<RunReport, String>>;
+        fn run<D: Domain>(self, new_cx: impl Fn() -> D::Ctx) -> Self::Out {
+            let cxs: Vec<D::Ctx> = self.inputs.iter().map(|_| new_cx()).collect();
+            crate::lanes::exec_lanes::<D>(self.prog, self.fixed, self.inputs, &cxs)
+                .into_iter()
+                .map(|r| r.map(to_report).map_err(|e| e.message))
+                .collect()
+        }
     }
 
     // The lane engine unrolls loops concretely in lock-step; a fixpoint
@@ -805,45 +806,12 @@ pub fn run_lanes_on(
         }
     }
 
-    let w = inputs.len();
-    telemetry::span("vm.exec_lanes", || match config.kind {
-        DomainKind::Unsound => collect(exec_lanes::<UnsoundF64>(prog, fixed, inputs, &vec![(); w])),
-        DomainKind::IntervalF64 => {
-            collect(exec_lanes::<IntervalF64>(prog, fixed, inputs, &vec![(); w]))
-        }
-        DomainKind::IntervalDd => {
-            collect(exec_lanes::<IntervalDd>(prog, fixed, inputs, &vec![(); w]))
-        }
-        DomainKind::AffineF64 => {
-            let cxs: Vec<AaContext> = (0..w).map(|_| AaContext::new(config.aa)).collect();
-            collect(exec_lanes::<AffineF64>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::AffineDd => {
-            let cxs: Vec<AaContext> = (0..w).map(|_| AaContext::new(config.aa)).collect();
-            collect(exec_lanes::<AffineDd>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::AffineF32 => {
-            let cxs: Vec<AaContext> = (0..w).map(|_| AaContext::new(config.aa)).collect();
-            collect(exec_lanes::<AffineF32>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::YalaaAff0 => {
-            let cxs: Vec<BaselineCtx> = (0..w).map(|_| BaselineCtx::new()).collect();
-            collect(exec_lanes::<YalaaAff0>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::YalaaAff1 => {
-            let cxs: Vec<BaselineCtx> = (0..w).map(|_| BaselineCtx::new()).collect();
-            collect(exec_lanes::<YalaaAff1>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::Ceres => {
-            let cxs: Vec<CeresCtx> = (0..w)
-                .map(|_| CeresCtx {
-                    ctx: BaselineCtx::new(),
-                    k: config.aa.k,
-                })
-                .collect();
-            collect(exec_lanes::<CeresAffine>(prog, fixed, inputs, &cxs))
-        }
-    })
+    let run = Lanes {
+        prog,
+        fixed,
+        inputs,
+    };
+    telemetry::span("vm.exec_lanes", || with_domain(config, run))
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@
 //! replacement.
 
 use safegen_cfront::{AssignOp, Expr, Function, Sema, Stmt, Ty, UnOp, Unit};
-use safegen_ir::cfg::{ArrId, Cfg, CmpOp, FReg, IReg, Inst, ParamBinding, Terminator};
 use std::fmt::Write;
 
 /// Affine precision of the emitted code.
@@ -362,137 +361,6 @@ fn emit_expr(e: &Expr, f: &Function, sema: &Sema, p: EmitPrecision) -> String {
     }
 }
 
-/// Emits sound C for one function directly from its lowered (and possibly
-/// optimized) CFG form: register assignments against the `aa_*` runtime,
-/// with labels and `goto`s for control flow.
-///
-/// Unlike [`emit_c`], which pretty-prints the TAC AST and therefore
-/// always shows the *unoptimized* program, this backend reflects exactly
-/// what the pass pipeline left behind — the shape the VM executes. Arrays
-/// use the IR's flattened indexing (`a[i*4 + j]`), so multi-dimensional
-/// parameters become flat buffers of the same total length.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn emit_c_from_cfg(cfg: &Cfg, p: EmitPrecision) -> String {
-    use std::fmt::Write as _;
-    let s = p.suffix();
-    let returns_value = cfg
-        .blocks
-        .iter()
-        .any(|b| matches!(b.term, Terminator::Ret(Some(_))));
-    let mut out = String::new();
-    out.push_str("/* Generated by SafeGen-rs from the optimized CFG IR. */\n");
-    let ret_ty = if returns_value { p.ty() } else { "void" };
-    let _ = write!(out, "{ret_ty} {}(", cfg.name);
-    for (i, (name, binding, _)) in cfg.params.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        match binding {
-            ParamBinding::Float(_) => {
-                let _ = write!(out, "{} {name}", p.ty());
-            }
-            ParamBinding::Int(_) => {
-                let _ = write!(out, "int {name}");
-            }
-            ParamBinding::Array(id) => {
-                let _ = write!(out, "{} {name}[{}]", p.ty(), cfg.arrays[*id as usize].len);
-            }
-        }
-    }
-    out.push_str(") {\n");
-    // Register file declarations, then local arrays, then param copies.
-    if cfg.n_fregs > 0 {
-        let regs: Vec<String> = (0..cfg.n_fregs).map(|r| format!("f{r}")).collect();
-        let _ = writeln!(out, "    {} {};", p.ty(), regs.join(", "));
-    }
-    if cfg.n_iregs > 0 {
-        let regs: Vec<String> = (0..cfg.n_iregs).map(|r| format!("i{r}")).collect();
-        let _ = writeln!(out, "    int {};", regs.join(", "));
-    }
-    for a in cfg.arrays.iter().filter(|a| !a.is_param) {
-        let _ = writeln!(out, "    {} {}[{}];", p.ty(), a.name, a.len);
-    }
-    for (name, binding, _) in &cfg.params {
-        match binding {
-            ParamBinding::Float(r) => {
-                let _ = writeln!(out, "    f{r} = {name};");
-            }
-            ParamBinding::Int(r) => {
-                let _ = writeln!(out, "    i{r} = {name};");
-            }
-            ParamBinding::Array(_) => {}
-        }
-    }
-    let arr = |id: ArrId| cfg.arrays[id as usize].name.as_str();
-    let fbin =
-        |fun: &str, d: &FReg, a: &FReg, b: &FReg| format!("f{d} = aa_{fun}_{s}(f{a}, f{b});");
-    let ibin = |sym: &str, d: &IReg, a: &IReg, b: &IReg| format!("i{d} = i{a} {sym} i{b};");
-    for (bi, block) in cfg.blocks.iter().enumerate() {
-        let _ = writeln!(out, "bb{bi}:;");
-        for ins in &block.insts {
-            let line = match &ins.inst {
-                Inst::Add(d, a, b) => fbin("add", d, a, b),
-                Inst::Sub(d, a, b) => fbin("sub", d, a, b),
-                Inst::Mul(d, a, b) => fbin("mul", d, a, b),
-                Inst::Div(d, a, b) => fbin("div", d, a, b),
-                Inst::Min(d, a, b) => fbin("min", d, a, b),
-                Inst::Max(d, a, b) => fbin("max", d, a, b),
-                Inst::Sqrt(d, a) => format!("f{d} = aa_sqrt_{s}(f{a});"),
-                Inst::Abs(d, a) => format!("f{d} = aa_abs_{s}(f{a});"),
-                Inst::Neg(d, a) => format!("f{d} = aa_neg_{s}(f{a});"),
-                Inst::ConstF(d, c) => format!("f{d} = aa_const_{s}({c:?});"),
-                Inst::MovF(d, src) => format!("f{d} = f{src};"),
-                Inst::CastIF(d, src) => format!("f{d} = aa_from_int_{s}(i{src});"),
-                Inst::LoadArr(d, a, idx) => format!("f{d} = {}[i{idx}];", arr(*a)),
-                Inst::StoreArr(a, idx, src) => format!("{}[i{idx}] = f{src};", arr(*a)),
-                Inst::ConstI(d, c) => format!("i{d} = {c};"),
-                Inst::AddI(d, a, b) => ibin("+", d, a, b),
-                Inst::SubI(d, a, b) => ibin("-", d, a, b),
-                Inst::MulI(d, a, b) => ibin("*", d, a, b),
-                Inst::DivI(d, a, b) => ibin("/", d, a, b),
-                Inst::MovI(d, src) => format!("i{d} = i{src};"),
-                Inst::CastFI(d, src) => format!("i{d} = aa_to_int_{s}(f{src});"),
-                Inst::CmpI(op, d, a, b) => {
-                    let sym = match op {
-                        CmpOp::Lt => "<",
-                        CmpOp::Le => "<=",
-                        CmpOp::Gt => ">",
-                        CmpOp::Ge => ">=",
-                        CmpOp::Eq => "==",
-                        CmpOp::Ne => "!=",
-                    };
-                    format!("i{d} = i{a} {sym} i{b};")
-                }
-                Inst::CmpF(op, d, a, b) => {
-                    format!("i{d} = aa_cmp_{}_{s}(f{a}, f{b});", op.mnemonic())
-                }
-                Inst::Protect(r) => format!("aa_prioritize_{s}(f{r});"),
-                Inst::SetCapacity(k) => format!("aa_set_capacity({k});"),
-            };
-            let _ = writeln!(out, "    {line}");
-        }
-        match &block.term {
-            Terminator::Jump(t) => {
-                if *t != bi + 1 {
-                    let _ = writeln!(out, "    goto bb{t};");
-                }
-            }
-            Terminator::Branch(c, t, e) => {
-                let _ = writeln!(out, "    if (!i{c}) goto bb{e};");
-                if *t != bi + 1 {
-                    let _ = writeln!(out, "    goto bb{t};");
-                }
-            }
-            Terminator::Ret(Some(r)) => {
-                let _ = writeln!(out, "    return f{r};");
-            }
-            Terminator::Ret(None) => out.push_str("    return;\n"),
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,15 +372,6 @@ mod tests {
         let tac = safegen_ir::to_tac(&unit, &sema);
         let sema = analyze(&tac).unwrap();
         emit_c(&tac, &sema, EmitPrecision::F64)
-    }
-
-    fn emit_cfg(src: &str, pm: &safegen_ir::PassManager) -> String {
-        let unit = parse(src).unwrap();
-        let sema = analyze(&unit).unwrap();
-        let (tac, sema) = safegen_ir::to_tac_with_sema(&unit, &sema);
-        let mut cfg = safegen_ir::lower_function(&tac.functions[0], &sema).unwrap();
-        pm.run(&mut cfg);
-        emit_c_from_cfg(&cfg, EmitPrecision::F64)
     }
 
     #[test]
@@ -578,49 +437,5 @@ mod tests {
     fn constants_print_round_trippable() {
         let out = emit("double f() { return 0.30000000000000004; }");
         assert!(out.contains("aa_const_f64(0.30000000000000004)"), "{out}");
-    }
-
-    #[test]
-    fn cfg_backend_emits_goto_form() {
-        let src = "double f(double x, int n) {
-            double s = 0.0;
-            for (int i = 0; i < n; i++) { s = s + x * x; }
-            return s;
-        }";
-        let out = emit_cfg(src, &safegen_ir::PassManager::none());
-        assert!(out.contains("f64a f(f64a x, int n)"), "{out}");
-        assert!(out.contains("bb0:;"), "{out}");
-        assert!(out.contains("goto bb"), "{out}");
-        assert!(out.contains("aa_mul_f64("), "{out}");
-        assert!(out.contains("return f"), "{out}");
-    }
-
-    #[test]
-    fn cfg_backend_reflects_optimization() {
-        let src = "double f(double x) {
-            double a = x * x;
-            double b = x * x;
-            return a + b;
-        }";
-        let unopt = emit_cfg(src, &safegen_ir::PassManager::none());
-        let opt = emit_cfg(src, &safegen_ir::PassManager::optimizing());
-        let muls = |s: &str| s.matches("aa_mul_f64(").count();
-        assert_eq!(muls(&unopt), 2, "{unopt}");
-        assert_eq!(muls(&opt), 1, "{opt}");
-        // The AST emitter is oblivious to passes — only this backend
-        // shows the optimized shape.
-        assert!(opt.len() < unopt.len());
-    }
-
-    #[test]
-    fn cfg_backend_lowers_pragma_and_arrays() {
-        let src = "void f(double a[4], double z) {
-            #pragma safegen prioritize(z)
-            a[0] = a[0] * z;
-        }";
-        let out = emit_cfg(src, &safegen_ir::PassManager::optimizing());
-        assert!(out.contains("void f(f64a a[4], f64a z)"), "{out}");
-        assert!(out.contains("aa_prioritize_f64("), "{out}");
-        assert!(out.contains("a[i"), "{out}");
     }
 }

@@ -4,9 +4,38 @@
 //! bytecode therefore yields the unsound original result, sound interval
 //! enclosures, or sound affine enclosures under every SafeGen
 //! configuration — the apples-to-apples setup of the paper's evaluation.
+//!
+//! ## One scalar semantics
+//!
+//! Every scalar execution of an [`Instr`] goes through one dispatch loop
+//! (`Machine::run`), with one parameter binder (`Machine::start`) and
+//! one result materialiser (`Machine::finish`) around it. The loop runs
+//! until a return, an undecided branch, or a caller-supplied pause
+//! point (a `pause(from, to)` hook consulted after every instruction:
+//! never for the plain VM, loop headers and back edges for the fixpoint
+//! engine). It is generic over two things:
+//!
+//! * **what an integer register holds** (the crate-private `IntVal`
+//!   trait): `i64` for concrete runs — [`exec`] and the error-provenance
+//!   profiler's traced mode — and the fixpoint engine's abstract integer
+//!   for its top level, concrete loop attempts and abstract loop-body
+//!   passes (`crate::fixpoint`). Every abstract-only policy (pending
+//!   float comparisons, widened integers, the stricter rules inside a
+//!   pass) lives on the abstract side of that parameter, so the two
+//!   engines cannot disagree on what an opcode means;
+//! * **the tracer** ([`ExecTracer`]): [`NoTrace`] compiles the hooks out.
+//!
+//! The `i64`/[`NoTrace`] instance is the scalar hot path; the `dispatch`
+//! bench's `scalar_items_per_s` tracks its rate.
+//!
+//! The lane engine (`crate::lanes`) keeps its own column loop over the
+//! fixed-width encoding, but binds each lane with the same binder and
+//! shares the sound float-comparison decision and the error
+//! constructors defined here: each VM error message is built in exactly
+//! one place.
 
 use crate::domain::Domain;
-use crate::program::{ArrId, CmpOp, Instr, ParamBinding, Program};
+use crate::program::{CmpOp, Instr, ParamBinding, Program};
 use std::fmt;
 
 /// An argument passed to [`exec`].
@@ -149,7 +178,7 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-pub(crate) fn err(message: impl Into<String>) -> ExecError {
+fn err(message: impl Into<String>) -> ExecError {
     ExecError {
         message: message.into(),
     }
@@ -157,6 +186,452 @@ pub(crate) fn err(message: impl Into<String>) -> ExecError {
 
 /// Upper bound on executed instructions (runaway-loop guard).
 pub(crate) const FUEL: u64 = 2_000_000_000;
+
+// Every VM error message is built in this module, once — the argument
+// errors in `Machine::start`, the rest below; the scalar loop, the
+// fixpoint engine and the lane engine all report through them.
+
+/// The element `i` selects in the array `name` of `len` elements, or the
+/// VM's bounds error.
+#[inline(always)]
+pub(crate) fn array_index(i: i64, len: usize, name: &str) -> Result<usize, ExecError> {
+    match usize::try_from(i) {
+        Ok(iu) if iu < len => Ok(iu),
+        _ => Err(index_error(i, len, name)),
+    }
+}
+
+#[cold]
+fn index_error(i: i64, len: usize, name: &str) -> ExecError {
+    if i < 0 {
+        err("negative array index")
+    } else {
+        err(format!("index {i} out of bounds for `{name}` (len {len})"))
+    }
+}
+
+#[cold]
+pub(crate) fn div_by_zero() -> ExecError {
+    err("integer division by zero")
+}
+
+#[cold]
+pub(crate) fn fuel_exhausted() -> ExecError {
+    err("instruction budget exhausted (infinite loop?)")
+}
+
+/// The sound float-comparison decision: `Some` when the enclosures
+/// decide `x op y`, `None` when they overlap.
+#[inline(always)]
+pub(crate) fn cmp_f_sound<D: Domain>(op: CmpOp, x: &D, y: &D) -> Option<bool> {
+    match op {
+        CmpOp::Lt => x.try_lt(y),
+        CmpOp::Gt => y.try_lt(x),
+        CmpOp::Le => y.try_lt(x).map(|b| !b),
+        CmpOp::Ge => x.try_lt(y).map(|b| !b),
+        CmpOp::Eq | CmpOp::Ne => {
+            let (xlo, xhi) = x.range();
+            let (ylo, yhi) = y.range();
+            if xhi < ylo || yhi < xlo {
+                Some(op == CmpOp::Ne)
+            } else if xlo == xhi && ylo == yhi && xlo == ylo {
+                Some(op == CmpOp::Eq)
+            } else {
+                None
+            }
+        }
+    }
+}
+
+/// The concrete VM's float comparison: the sound decision, or — when the
+/// enclosures overlap — the center values' decision, counted in
+/// `undecided` (DESIGN.md §4.5).
+#[inline(always)]
+pub(crate) fn cmp_f_decide<D: Domain>(op: CmpOp, x: &D, y: &D, undecided: &mut u64) -> bool {
+    cmp_f_sound(op, x, y).unwrap_or_else(|| {
+        *undecided += 1;
+        op.eval(x.center(), y.center())
+    })
+}
+
+/// What an integer register holds. Concrete runs hold `i64`; the
+/// fixpoint engine holds its abstract integer (`fixpoint::AbsInt`),
+/// whose implementation carries every abstract-only policy. The one
+/// dispatch loop ([`Machine::run`]) is generic over this, so the
+/// plain VM and the fixpoint engine share their instruction semantics.
+pub(crate) trait IntVal: Copy {
+    /// How a run fails.
+    type Err;
+    /// A known integer.
+    fn known(v: i64) -> Self;
+    /// The value a branch tests, or `None` when it is undecided (the
+    /// caller then decides how to split).
+    fn decided(self) -> Option<i64>;
+    /// `regs[r]` where a concrete integer is required (index, divisor,
+    /// int-to-float cast, an undecided branch taken by its center).
+    fn read(regs: &mut [Self], r: u32, stats: &mut RunStats) -> Result<i64, Self::Err>;
+    /// `f(regs[a], regs[b])`: integer arithmetic and comparison.
+    fn lift2(
+        regs: &mut [Self],
+        a: u32,
+        b: u32,
+        stats: &mut RunStats,
+        f: impl FnOnce(i64, i64) -> i64,
+    ) -> Result<Self, Self::Err>;
+    /// The result of comparing float registers `a` and `b`, holding `x`
+    /// and `y`.
+    fn cmp_f<D: Domain>(op: CmpOp, a: u32, b: u32, x: &D, y: &D, stats: &mut RunStats) -> Self;
+    /// Float-to-int truncation of `x`.
+    fn cast_f<D: Domain>(x: &D, in_pass: bool) -> Result<Self, Self::Err>;
+    /// A runtime error raised by an instruction (`in_pass`: inside an abstract
+    /// loop-body pass, where the error may be spurious).
+    fn fault(e: ExecError, in_pass: bool) -> Self::Err;
+}
+
+impl IntVal for i64 {
+    type Err = ExecError;
+    #[inline(always)]
+    fn known(v: i64) -> i64 {
+        v
+    }
+    #[inline(always)]
+    fn decided(self) -> Option<i64> {
+        Some(self)
+    }
+    #[inline(always)]
+    fn read(regs: &mut [i64], r: u32, _: &mut RunStats) -> Result<i64, ExecError> {
+        Ok(regs[r as usize])
+    }
+    #[inline(always)]
+    fn lift2(
+        regs: &mut [i64],
+        a: u32,
+        b: u32,
+        _: &mut RunStats,
+        f: impl FnOnce(i64, i64) -> i64,
+    ) -> Result<i64, ExecError> {
+        Ok(f(regs[a as usize], regs[b as usize]))
+    }
+    #[inline(always)]
+    fn cmp_f<D: Domain>(op: CmpOp, _: u32, _: u32, x: &D, y: &D, stats: &mut RunStats) -> i64 {
+        i64::from(cmp_f_decide(op, x, y, &mut stats.undecided_branches))
+    }
+    #[inline(always)]
+    fn cast_f<D: Domain>(x: &D, _: bool) -> Result<i64, ExecError> {
+        Ok(x.center() as i64)
+    }
+    #[inline(always)]
+    fn fault(e: ExecError, _: bool) -> ExecError {
+        e
+    }
+}
+
+/// Consumes the pending protect set (empty when none is pending).
+#[inline(always)]
+fn take_protect(pending: &mut bool, protect: &mut Vec<u64>) -> Vec<u64> {
+    if std::mem::take(pending) {
+        std::mem::take(protect)
+    } else {
+        Vec::new()
+    }
+}
+
+/// Why [`Machine::run`] handed control back.
+pub(crate) enum Stop {
+    /// Return the given float register (`None`: a void return, also at
+    /// the end of the code).
+    Ret(Option<u32>),
+    /// A `JumpIfZero` whose condition is undecided (`pc` still points at
+    /// it) — only abstract integers produce this; the caller's policy
+    /// decides the split.
+    Branch { reg: u32, target: usize },
+    /// The caller's `pause` hook asked for control at the new `pc`.
+    Pause,
+}
+
+/// The scalar machine state: float registers, integer registers, arrays,
+/// and the pending-pragma bookkeeping.
+#[derive(Clone)]
+pub(crate) struct Machine<D, I> {
+    pub fregs: Vec<D>,
+    pub iregs: Vec<I>,
+    pub arrays: Vec<Vec<D>>,
+    /// The protect set of a pending `Protect`, consumed by the next
+    /// protectable FP op.
+    pub protect: Vec<u64>,
+    pub pending_protect: bool,
+    /// A `SetCapacity` covers exactly its (single-FP-op) statement.
+    pub pending_capacity: bool,
+}
+
+impl<D: Domain, I: IntVal> Machine<D, I> {
+    /// The parameter binder: builds the zeroed state and binds the
+    /// parameters in declaration order, checking each argument. Also returns the
+    /// context's fusion counters at entry, for [`Machine::finish`].
+    #[inline(always)]
+    pub(crate) fn start<T: ExecTracer>(
+        prog: &Program,
+        args: &[ArgValue],
+        cx: &D::Ctx,
+        tracer: &mut T,
+    ) -> Result<(Self, (u64, u64)), ExecError> {
+        if args.len() != prog.params.len() {
+            return Err(err(format!(
+                "{} arguments provided, {} expected",
+                args.len(),
+                prog.params.len()
+            )));
+        }
+        let zero = D::constant(0.0, cx);
+        let mut m = Machine {
+            fregs: vec![zero; prog.n_fregs.max(1)],
+            iregs: vec![I::known(0); prog.n_iregs.max(1)],
+            arrays: prog
+                .arrays
+                .iter()
+                .map(|a| vec![D::constant(0.0, cx); a.len])
+                .collect(),
+            protect: Vec::new(),
+            pending_protect: false,
+            pending_capacity: false,
+        };
+        // Counter snapshots: run stats report per-run deltas even when
+        // the caller reuses one context across runs.
+        let entry = D::fusion_counters(cx);
+        for (index, ((name, binding), arg)) in prog.params.iter().zip(args).enumerate() {
+            let syms_before = if T::ACTIVE {
+                D::symbols_allocated(cx)
+            } else {
+                0
+            };
+            match (binding, arg) {
+                (ParamBinding::Float(r), ArgValue::Float(x)) => {
+                    m.fregs[*r as usize] = D::from_input(*x, cx);
+                }
+                (ParamBinding::Int(r), ArgValue::Int(v)) => m.iregs[*r as usize] = I::known(*v),
+                (ParamBinding::Array(a), ArgValue::Array(xs)) => {
+                    let decl = &prog.arrays[*a as usize];
+                    if decl.len != 0 && decl.len != xs.len() {
+                        return Err(err(format!(
+                            "array `{name}` expects {} elements, got {}",
+                            decl.len,
+                            xs.len()
+                        )));
+                    }
+                    m.arrays[*a as usize] = xs.iter().map(|&x| D::from_input(x, cx)).collect();
+                }
+                (b, a) => {
+                    return Err(err(format!("argument `{name}`: expected {b:?}, got {a:?}")));
+                }
+            }
+            if T::ACTIVE {
+                let syms_after = D::symbols_allocated(cx);
+                if syms_after > syms_before {
+                    tracer.record(TraceSite::Param(index), syms_before, syms_after);
+                }
+            }
+        }
+        Ok((m, entry))
+    }
+
+    /// The result materialiser: the returned register `ret`, every array
+    /// parameter in parameter order, and `stats` completed with the
+    /// fusion/condensation deltas since `entry`.
+    #[inline(always)]
+    pub(crate) fn finish(
+        mut self,
+        prog: &Program,
+        cx: &D::Ctx,
+        ret: Option<u32>,
+        mut stats: RunStats,
+        entry: (u64, u64),
+    ) -> RunResult<D> {
+        let (fusions, condensations) = D::fusion_counters(cx);
+        stats.fusions = fusions - entry.0;
+        stats.condensations = condensations - entry.1;
+        let arrays = prog
+            .params
+            .iter()
+            .filter_map(|(name, b)| match b {
+                ParamBinding::Array(a) => {
+                    Some((name.clone(), std::mem::take(&mut self.arrays[*a as usize])))
+                }
+                _ => None,
+            })
+            .collect();
+        RunResult {
+            ret: ret.map(|r| self.fregs.swap_remove(r as usize)),
+            arrays,
+            stats,
+        }
+    }
+
+    /// Executes instructions from `*pc` on — the one scalar semantics of
+    /// every opcode — until a [`Stop`]: a return, an undecided branch,
+    /// or `pause(from, to)` returning `true` after the instruction at
+    /// `from` moved `*pc` to `to`. The instruction at `*pc` always runs
+    /// first, so a paused run resumes where it stopped. Every executed
+    /// instruction is counted in `stats` (fuel included) and its symbol
+    /// allocations reported to `tracer`; `in_pass` marks an abstract
+    /// loop-body pass (see [`IntVal::fault`]).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<T: ExecTracer>(
+        &mut self,
+        prog: &Program,
+        cx: &D::Ctx,
+        pc: &mut usize,
+        stats: &mut RunStats,
+        in_pass: bool,
+        tracer: &mut T,
+        mut pause: impl FnMut(usize, usize) -> bool,
+    ) -> Result<Stop, I::Err> {
+        let Machine {
+            fregs,
+            iregs,
+            arrays,
+            protect,
+            pending_protect,
+            pending_capacity,
+        } = self;
+        // Slices, so the loop keeps their pointers and lengths in machine
+        // registers instead of reloading them after every store.
+        let (f, i) = (&mut fregs[..], &mut iregs[..]);
+        loop {
+            let at = *pc;
+            let Some(instr) = prog.code.get(at) else {
+                return Ok(Stop::Ret(None));
+            };
+            stats.instrs += 1;
+            if stats.instrs > FUEL {
+                return Err(I::fault(fuel_exhausted(), in_pass));
+            }
+            let fp_ops_before = stats.fp_ops;
+            let syms_before = if T::ACTIVE {
+                D::symbols_allocated(cx)
+            } else {
+                0
+            };
+            let mut next = at + 1;
+            match instr {
+                Instr::Add(d, a, b) => {
+                    let p = take_protect(pending_protect, protect);
+                    f[*d as usize] = f[*a as usize].add(&f[*b as usize], cx, &p);
+                    stats.fp_ops += 1;
+                }
+                Instr::Sub(d, a, b) => {
+                    let p = take_protect(pending_protect, protect);
+                    f[*d as usize] = f[*a as usize].sub(&f[*b as usize], cx, &p);
+                    stats.fp_ops += 1;
+                }
+                Instr::Mul(d, a, b) => {
+                    let p = take_protect(pending_protect, protect);
+                    f[*d as usize] = f[*a as usize].mul(&f[*b as usize], cx, &p);
+                    stats.fp_ops += 1;
+                }
+                Instr::Div(d, a, b) => {
+                    let p = take_protect(pending_protect, protect);
+                    f[*d as usize] = f[*a as usize].div(&f[*b as usize], cx, &p);
+                    stats.fp_ops += 1;
+                }
+                Instr::Sqrt(d, a) => {
+                    let p = take_protect(pending_protect, protect);
+                    f[*d as usize] = f[*a as usize].sqrt(cx, &p);
+                    stats.fp_ops += 1;
+                }
+                Instr::Abs(d, a) => {
+                    f[*d as usize] = f[*a as usize].abs(cx);
+                    stats.fp_ops += 1;
+                }
+                Instr::Neg(d, a) => {
+                    f[*d as usize] = f[*a as usize].neg(cx);
+                    stats.fp_ops += 1;
+                }
+                Instr::Min(d, a, b) => {
+                    f[*d as usize] = f[*a as usize].min(&f[*b as usize], cx);
+                    stats.fp_ops += 1;
+                }
+                Instr::Max(d, a, b) => {
+                    f[*d as usize] = f[*a as usize].max(&f[*b as usize], cx);
+                    stats.fp_ops += 1;
+                }
+                Instr::ConstF(d, c) => f[*d as usize] = D::constant(*c, cx),
+                Instr::MovF(d, s) => f[*d as usize] = f[*s as usize].clone(),
+                Instr::CastIF(d, s) => {
+                    let v = I::read(i, *s, stats)?;
+                    f[*d as usize] = D::constant(v as f64, cx);
+                }
+                Instr::LoadArr(d, arr, idx) => {
+                    let k = I::read(i, *idx, stats)?;
+                    let a = &arrays[*arr as usize];
+                    let k = array_index(k, a.len(), &prog.arrays[*arr as usize].name)
+                        .map_err(|e| I::fault(e, in_pass))?;
+                    f[*d as usize] = a[k].clone();
+                }
+                Instr::StoreArr(arr, idx, s) => {
+                    let k = I::read(i, *idx, stats)?;
+                    let a = &mut arrays[*arr as usize];
+                    let k = array_index(k, a.len(), &prog.arrays[*arr as usize].name)
+                        .map_err(|e| I::fault(e, in_pass))?;
+                    a[k] = f[*s as usize].clone();
+                }
+                Instr::ConstI(d, c) => i[*d as usize] = I::known(*c),
+                Instr::AddI(d, a, b) => i[*d as usize] = I::lift2(i, *a, *b, stats, |x, y| x + y)?,
+                Instr::SubI(d, a, b) => i[*d as usize] = I::lift2(i, *a, *b, stats, |x, y| x - y)?,
+                Instr::MulI(d, a, b) => i[*d as usize] = I::lift2(i, *a, *b, stats, |x, y| x * y)?,
+                Instr::DivI(d, a, b) => {
+                    if I::read(i, *b, stats)? == 0 {
+                        return Err(I::fault(div_by_zero(), in_pass));
+                    }
+                    i[*d as usize] = I::lift2(i, *a, *b, stats, |x, y| x / y)?;
+                }
+                Instr::MovI(d, s) => i[*d as usize] = i[*s as usize],
+                Instr::CastFI(d, s) => i[*d as usize] = I::cast_f(&f[*s as usize], in_pass)?,
+                Instr::CmpI(op, d, a, b) => {
+                    i[*d as usize] = I::lift2(i, *a, *b, stats, |x, y| i64::from(op.eval(x, y)))?;
+                }
+                Instr::CmpF(op, d, a, b) => {
+                    i[*d as usize] = I::cmp_f(*op, *a, *b, &f[*a as usize], &f[*b as usize], stats);
+                }
+                Instr::Jump(t) => next = *t,
+                Instr::JumpIfZero(c, t) => match i[*c as usize].decided() {
+                    Some(0) => next = *t,
+                    Some(_) => {}
+                    None => {
+                        return Ok(Stop::Branch {
+                            reg: *c,
+                            target: *t,
+                        })
+                    }
+                },
+                Instr::Protect(r) => {
+                    *protect = f[*r as usize].protect_ids(cx);
+                    *pending_protect = true;
+                }
+                Instr::SetCapacity(k) => {
+                    D::set_capacity(cx, *k as usize);
+                    *pending_capacity = true;
+                }
+                Instr::Ret(r) => return Ok(Stop::Ret(*r)),
+            }
+            // A capacity pragma covers exactly its (single-FP-op) statement.
+            if *pending_capacity && stats.fp_ops > fp_ops_before {
+                D::reset_capacity(cx);
+                *pending_capacity = false;
+            }
+            if T::ACTIVE {
+                let syms_after = D::symbols_allocated(cx);
+                if syms_after > syms_before {
+                    tracer.record(TraceSite::Instr(at), syms_before, syms_after);
+                }
+            }
+            *pc = next;
+            if pause(at, next) {
+                return Ok(Stop::Pause);
+            }
+        }
+    }
+}
 
 /// Executes `prog` under domain `D`.
 ///
@@ -193,276 +668,38 @@ pub(crate) fn exec_traced<D: Domain>(
     Ok((result, trace))
 }
 
+/// The plain VM: bind, run from `pc` 0 to a return, materialise. Both
+/// [`exec`] and [`exec_traced`] are instances of it.
 pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
     prog: &Program,
     args: &[ArgValue],
     cx: &D::Ctx,
     tracer: &mut T,
 ) -> Result<RunResult<D>, ExecError> {
-    if args.len() != prog.params.len() {
-        return Err(err(format!(
-            "{} arguments provided, {} expected",
-            args.len(),
-            prog.params.len()
-        )));
-    }
-    let zero = D::constant(0.0, cx);
-    let mut fregs: Vec<D> = vec![zero; prog.n_fregs.max(1)];
-    let mut iregs: Vec<i64> = vec![0; prog.n_iregs.max(1)];
-    let mut arrays: Vec<Vec<D>> = prog
-        .arrays
-        .iter()
-        .map(|a| vec![D::constant(0.0, cx); a.len])
-        .collect();
+    let (m, entry) = Machine::<D, i64>::start(prog, args, cx, tracer)?;
+    m.exec(prog, cx, entry, tracer)
+}
 
-    // Counter snapshots: run stats report per-run deltas even when the
-    // caller reuses one context across runs.
-    let (fusions_at_entry, condensations_at_entry) = D::fusion_counters(cx);
-
-    // Bind parameters.
-    for (index, ((name, binding), arg)) in prog.params.iter().zip(args).enumerate() {
-        let syms_before = if T::ACTIVE {
-            D::symbols_allocated(cx)
-        } else {
-            0
+impl<D: Domain> Machine<D, i64> {
+    /// The plain VM on a bound machine: runs from `pc` 0 to a return and
+    /// materialises the result (`entry`: the counters [`Machine::start`]
+    /// returned with it).
+    pub(crate) fn exec<T: ExecTracer>(
+        mut self,
+        prog: &Program,
+        cx: &D::Ctx,
+        entry: (u64, u64),
+        tracer: &mut T,
+    ) -> Result<RunResult<D>, ExecError> {
+        let mut stats = RunStats::default();
+        let ret = match self.run(prog, cx, &mut 0, &mut stats, false, tracer, |_, _| false)? {
+            Stop::Ret(r) => r,
+            Stop::Branch { .. } | Stop::Pause => {
+                unreachable!("concrete integers decide every branch; nothing pauses")
+            }
         };
-        match (binding, arg) {
-            (ParamBinding::Float(r), ArgValue::Float(x)) => {
-                fregs[*r as usize] = D::from_input(*x, cx);
-            }
-            (ParamBinding::Int(r), ArgValue::Int(v)) => {
-                iregs[*r as usize] = *v;
-            }
-            (ParamBinding::Array(a), ArgValue::Array(xs)) => {
-                let decl = &prog.arrays[*a as usize];
-                if decl.len != 0 && decl.len != xs.len() {
-                    return Err(err(format!(
-                        "array `{name}` expects {} elements, got {}",
-                        decl.len,
-                        xs.len()
-                    )));
-                }
-                arrays[*a as usize] = xs.iter().map(|&x| D::from_input(x, cx)).collect();
-            }
-            (b, a) => {
-                return Err(err(format!("argument `{name}`: expected {b:?}, got {a:?}")));
-            }
-        }
-        if T::ACTIVE {
-            let syms_after = D::symbols_allocated(cx);
-            if syms_after > syms_before {
-                tracer.record(TraceSite::Param(index), syms_before, syms_after);
-            }
-        }
+        Ok(self.finish(prog, cx, ret, stats, entry))
     }
-
-    let mut stats = RunStats::default();
-    let mut pc = 0usize;
-    let mut protect: Vec<u64> = Vec::new();
-    let mut pending_protect = false;
-    let mut pending_capacity = false;
-    let mut ret: Option<D> = None;
-
-    macro_rules! prot {
-        () => {{
-            if pending_protect {
-                pending_protect = false;
-                std::mem::take(&mut protect)
-            } else {
-                Vec::new()
-            }
-        }};
-    }
-
-    while pc < prog.code.len() {
-        stats.instrs += 1;
-        if stats.instrs > FUEL {
-            return Err(err("instruction budget exhausted (infinite loop?)"));
-        }
-        let fp_ops_before = stats.fp_ops;
-        let syms_before = if T::ACTIVE {
-            D::symbols_allocated(cx)
-        } else {
-            0
-        };
-        match &prog.code[pc] {
-            Instr::Add(d, a, b) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].add(&fregs[*b as usize], cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Sub(d, a, b) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].sub(&fregs[*b as usize], cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Mul(d, a, b) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].mul(&fregs[*b as usize], cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Div(d, a, b) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].div(&fregs[*b as usize], cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Sqrt(d, a) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].sqrt(cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Abs(d, a) => {
-                fregs[*d as usize] = fregs[*a as usize].abs(cx);
-                stats.fp_ops += 1;
-            }
-            Instr::Neg(d, a) => {
-                fregs[*d as usize] = fregs[*a as usize].neg(cx);
-                stats.fp_ops += 1;
-            }
-            Instr::Min(d, a, b) => {
-                fregs[*d as usize] = fregs[*a as usize].min(&fregs[*b as usize], cx);
-                stats.fp_ops += 1;
-            }
-            Instr::Max(d, a, b) => {
-                fregs[*d as usize] = fregs[*a as usize].max(&fregs[*b as usize], cx);
-                stats.fp_ops += 1;
-            }
-            Instr::ConstF(d, c) => {
-                fregs[*d as usize] = D::constant(*c, cx);
-            }
-            Instr::MovF(d, s) => {
-                fregs[*d as usize] = fregs[*s as usize].clone();
-            }
-            Instr::CastIF(d, s) => {
-                fregs[*d as usize] = D::constant(iregs[*s as usize] as f64, cx);
-            }
-            Instr::LoadArr(d, arr, idx) => {
-                let i = iregs[*idx as usize];
-                let a = &arrays[*arr as usize];
-                let v = a
-                    .get(usize::try_from(i).map_err(|_| err("negative array index"))?)
-                    .ok_or_else(|| {
-                        err(format!(
-                            "index {i} out of bounds for `{}` (len {})",
-                            prog.arrays[*arr as usize].name,
-                            a.len()
-                        ))
-                    })?;
-                fregs[*d as usize] = v.clone();
-            }
-            Instr::StoreArr(arr, idx, s) => {
-                let i = iregs[*idx as usize];
-                let name = &prog.arrays[*arr as usize].name;
-                let a = &mut arrays[*arr as usize];
-                let len = a.len();
-                let slot = a
-                    .get_mut(usize::try_from(i).map_err(|_| err("negative array index"))?)
-                    .ok_or_else(|| {
-                        err(format!("index {i} out of bounds for `{name}` (len {len})"))
-                    })?;
-                *slot = fregs[*s as usize].clone();
-            }
-            Instr::ConstI(d, c) => iregs[*d as usize] = *c,
-            Instr::AddI(d, a, b) => iregs[*d as usize] = iregs[*a as usize] + iregs[*b as usize],
-            Instr::SubI(d, a, b) => iregs[*d as usize] = iregs[*a as usize] - iregs[*b as usize],
-            Instr::MulI(d, a, b) => iregs[*d as usize] = iregs[*a as usize] * iregs[*b as usize],
-            Instr::DivI(d, a, b) => {
-                let bv = iregs[*b as usize];
-                if bv == 0 {
-                    return Err(err("integer division by zero"));
-                }
-                iregs[*d as usize] = iregs[*a as usize] / bv;
-            }
-            Instr::MovI(d, s) => iregs[*d as usize] = iregs[*s as usize],
-            Instr::CastFI(d, s) => {
-                iregs[*d as usize] = fregs[*s as usize].center() as i64;
-            }
-            Instr::CmpI(op, d, a, b) => {
-                iregs[*d as usize] = i64::from(op.eval(iregs[*a as usize], iregs[*b as usize]));
-            }
-            Instr::CmpF(op, d, a, b) => {
-                let (x, y) = (&fregs[*a as usize], &fregs[*b as usize]);
-                let res = match op {
-                    CmpOp::Lt => x.try_lt(y),
-                    CmpOp::Gt => y.try_lt(x),
-                    CmpOp::Le => y.try_lt(x).map(|b| !b),
-                    CmpOp::Ge => x.try_lt(y).map(|b| !b),
-                    CmpOp::Eq | CmpOp::Ne => {
-                        let (xlo, xhi) = x.range();
-                        let (ylo, yhi) = y.range();
-                        if xhi < ylo || yhi < xlo {
-                            Some(*op == CmpOp::Ne)
-                        } else if xlo == xhi && ylo == yhi && xlo == ylo {
-                            Some(*op == CmpOp::Eq)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                let decided = match res {
-                    Some(v) => v,
-                    None => {
-                        stats.undecided_branches += 1;
-                        op.eval(x.center(), y.center())
-                    }
-                };
-                iregs[*d as usize] = i64::from(decided);
-            }
-            Instr::Jump(t) => {
-                pc = *t;
-                continue;
-            }
-            Instr::JumpIfZero(c, t) => {
-                if iregs[*c as usize] == 0 {
-                    pc = *t;
-                    continue;
-                }
-            }
-            Instr::Protect(r) => {
-                protect = fregs[*r as usize].protect_ids(cx);
-                pending_protect = true;
-            }
-            Instr::SetCapacity(k) => {
-                D::set_capacity(cx, *k as usize);
-                pending_capacity = true;
-            }
-            Instr::Ret(r) => {
-                ret = r.map(|r| fregs[r as usize].clone());
-                break;
-            }
-        }
-        // A capacity pragma covers exactly its (single-FP-op) statement.
-        if pending_capacity && stats.fp_ops > fp_ops_before {
-            D::reset_capacity(cx);
-            pending_capacity = false;
-        }
-        if T::ACTIVE {
-            let syms_after = D::symbols_allocated(cx);
-            if syms_after > syms_before {
-                tracer.record(TraceSite::Instr(pc), syms_before, syms_after);
-            }
-        }
-        pc += 1;
-    }
-
-    let (fusions_at_exit, condensations_at_exit) = D::fusion_counters(cx);
-    stats.fusions = fusions_at_exit - fusions_at_entry;
-    stats.condensations = condensations_at_exit - condensations_at_entry;
-
-    let arrays_out: Vec<(String, Vec<D>)> = prog
-        .params
-        .iter()
-        .filter_map(|(name, b)| match b {
-            ParamBinding::Array(a) => Some((name.clone(), arrays[*a as usize].clone())),
-            _ => None,
-        })
-        .collect();
-    let _ = ArrId::default();
-    Ok(RunResult {
-        ret,
-        arrays: arrays_out,
-        stats,
-    })
 }
 
 #[cfg(test)]

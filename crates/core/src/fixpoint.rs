@@ -38,14 +38,27 @@
 //! function is evaluated directly on the materialized invariant, so
 //! containment of the result *is* inductiveness.
 //!
+//! Instructions execute through the plain VM's dispatch loop
+//! (`crate::exec`), instantiated with this module's abstract integer
+//! `AbsInt` instead of `i64` and paused at loop headers, back edges and
+//! loop exits: the top level, the concrete attempt and every abstract
+//! pass run the same opcode semantics as `exec`, and what is abstract —
+//! a pending float comparison, a widened counter (`Top`), the stricter
+//! rules inside a pass for casts, bounds and division — is the `AbsInt`
+//! side of that loop's integer parameter. This module owns only the
+//! driving around it (attempt, passes, joins, widening).
+//!
 //! Any shape the abstract interpreter cannot handle soundly (a widened
 //! integer used as an array index or divisor, an early `return` inside a
 //! loop body, several distinct exit targets) bails out to one plain
 //! concrete execution of the whole program — never an unsound answer.
 
 use crate::domain::Domain;
-use crate::exec::{err, exec_inner, ArgValue, ExecError, NoTrace, RunResult, RunStats, FUEL};
-use crate::program::{CmpOp, Instr, ParamBinding, Program};
+use crate::exec::{
+    cmp_f_sound, exec_inner, ArgValue, ExecError, IntVal, Machine, NoTrace, RunResult, RunStats,
+    Stop,
+};
+use crate::program::{CmpOp, Instr, Program};
 use safegen_ir::loops::{loop_regions, LoopRegion, LoopTable};
 
 /// How the VM treats loops whose trip count is not statically exhausted.
@@ -162,29 +175,90 @@ enum AbsInt {
     Top,
 }
 
-/// Abstract machine state: domain values in float registers and arrays,
-/// abstract integers, plus the pragma bookkeeping of the plain VM.
-struct MState<D> {
-    fregs: Vec<D>,
-    iregs: Vec<AbsInt>,
-    arrays: Vec<Vec<D>>,
-    protect: Vec<u64>,
-    pending_protect: bool,
-    pending_capacity: bool,
-}
+/// The abstract side of the shared loop: `Top` propagates through
+/// arithmetic and aborts to concrete execution where a concrete value is
+/// required; an undecided comparison stays pending until consumed; and
+/// inside a loop-body pass a cast of a non-point hull or a runtime error
+/// (which the hull may have invented) also aborts to concrete execution.
+impl IntVal for AbsInt {
+    type Err = FpAbort;
 
-impl<D: Clone> Clone for MState<D> {
-    fn clone(&self) -> Self {
-        MState {
-            fregs: self.fregs.clone(),
-            iregs: self.iregs.clone(),
-            arrays: self.arrays.clone(),
-            protect: self.protect.clone(),
-            pending_protect: self.pending_protect,
-            pending_capacity: self.pending_capacity,
+    fn known(v: i64) -> AbsInt {
+        AbsInt::Known(v)
+    }
+
+    fn decided(self) -> Option<i64> {
+        match self {
+            AbsInt::Known(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// `CmpPend` takes the center decision (counted undecided, then
+    /// pinned so repeated reads agree); `Top` aborts to concrete
+    /// execution.
+    fn read(regs: &mut [AbsInt], r: u32, stats: &mut RunStats) -> Result<i64, FpAbort> {
+        match regs[r as usize] {
+            AbsInt::Known(v) => Ok(v),
+            AbsInt::CmpPend { center, .. } => {
+                stats.undecided_branches += 1;
+                let v = i64::from(center);
+                regs[r as usize] = AbsInt::Known(v);
+                Ok(v)
+            }
+            AbsInt::Top => Err(FpAbort::NeedConcrete("widened integer consumed")),
+        }
+    }
+
+    fn lift2(
+        regs: &mut [AbsInt],
+        a: u32,
+        b: u32,
+        stats: &mut RunStats,
+        f: impl FnOnce(i64, i64) -> i64,
+    ) -> Result<AbsInt, FpAbort> {
+        if matches!(regs[a as usize], AbsInt::Top) || matches!(regs[b as usize], AbsInt::Top) {
+            return Ok(AbsInt::Top);
+        }
+        let x = AbsInt::read(regs, a, stats)?;
+        let y = AbsInt::read(regs, b, stats)?;
+        Ok(AbsInt::Known(f(x, y)))
+    }
+
+    fn cmp_f<D: Domain>(op: CmpOp, a: u32, b: u32, x: &D, y: &D, _: &mut RunStats) -> AbsInt {
+        match cmp_f_sound(op, x, y) {
+            Some(v) => AbsInt::Known(i64::from(v)),
+            None => AbsInt::CmpPend {
+                center: op.eval(x.center(), y.center()),
+                op,
+                a,
+                b,
+            },
+        }
+    }
+
+    fn cast_f<D: Domain>(x: &D, in_pass: bool) -> Result<AbsInt, FpAbort> {
+        let (lo, hi) = x.range();
+        if in_pass && !(lo == hi && lo.is_finite()) {
+            // The plain VM truncates the center value; doing that to a
+            // widened hull would silently fabricate an integer. Only
+            // exact points are allowed in a pass.
+            return Err(FpAbort::NeedConcrete("cast of widened float"));
+        }
+        Ok(AbsInt::Known(x.center() as i64))
+    }
+
+    fn fault(e: ExecError, in_pass: bool) -> FpAbort {
+        if in_pass {
+            FpAbort::NeedConcrete("possibly spurious runtime error")
+        } else {
+            FpAbort::Fail(e)
         }
     }
 }
+
+/// Abstract machine state: the plain VM's machine with abstract integers.
+type MState<D> = Machine<D, AbsInt>;
 
 /// Why the abstract engine gave up. `NeedConcrete` triggers one plain
 /// concrete execution of the whole program; `Fail` is a genuine runtime
@@ -194,33 +268,13 @@ enum FpAbort {
     Fail(ExecError),
 }
 
-/// Control-flow outcome of one [`Engine::step`].
-enum Flow<D> {
-    Next,
-    Goto(usize),
-    Ret(Option<D>),
-    /// A `JumpIfZero` whose condition is not `Known` — the caller's
-    /// policy (top level vs. loop pass) decides how to split.
-    Branch {
-        reg: u32,
-        target: usize,
-    },
-}
-
 /// Outcome of a whole solved loop, from the caller's perspective.
-enum LoopOut<D> {
+enum LoopOut {
     /// Continue at this pc (the machine state holds the exit state).
     Exit(usize),
-    /// The loop body returned from the function (concrete attempt only).
-    Ret(Option<D>),
-}
-
-/// Outcome of the concrete attempt (phase A).
-enum AttemptOut<D> {
-    Exit(usize),
-    Ret(Option<D>),
-    /// Budget exhausted or data-dependent guard: fall through to phase B.
-    Abort,
+    /// The loop body returned this register from the function (concrete
+    /// attempt only).
+    Ret(Option<u32>),
 }
 
 /// Outcome of one abstract body pass (phase B).
@@ -442,395 +496,89 @@ impl<D: Domain> Engine<'_, D> {
             .ok_or(FpAbort::NeedConcrete("domain cannot materialize ranges"))
     }
 
-    /// Collapse an abstract integer to a concrete one. `CmpPend` takes
-    /// the center decision (counted undecided, then pinned so repeated
-    /// reads agree); `Top` aborts to concrete execution.
-    fn need_i64(&mut self, m: &mut MState<D>, reg: u32) -> Result<i64, FpAbort> {
-        match m.iregs[reg as usize] {
-            AbsInt::Known(v) => Ok(v),
-            AbsInt::CmpPend { center, .. } => {
-                self.stats.undecided_branches += 1;
-                let v = i64::from(center);
-                m.iregs[reg as usize] = AbsInt::Known(v);
-                Ok(v)
-            }
-            AbsInt::Top => Err(FpAbort::NeedConcrete("widened integer consumed")),
-        }
-    }
-
-    /// One instruction. `in_pass` selects the abstract-pass policy for
-    /// the few operations whose concrete semantics would silently guess
-    /// (center-of-hull casts, possibly-spurious runtime errors).
-    fn step(&mut self, m: &mut MState<D>, pc: usize, in_pass: bool) -> Result<Flow<D>, FpAbort> {
-        let prog = self.prog;
-        let cx = self.cx;
-        self.stats.instrs += 1;
-        let fp_ops_before = self.stats.fp_ops;
-
-        macro_rules! prot {
-            () => {{
-                if m.pending_protect {
-                    m.pending_protect = false;
-                    std::mem::take(&mut m.protect)
-                } else {
-                    Vec::new()
-                }
-            }};
-        }
-
-        let mut flow = Flow::Next;
-        match &prog.code[pc] {
-            Instr::Add(d, a, b) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].add(&m.fregs[*b as usize], cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Sub(d, a, b) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].sub(&m.fregs[*b as usize], cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Mul(d, a, b) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].mul(&m.fregs[*b as usize], cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Div(d, a, b) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].div(&m.fregs[*b as usize], cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Sqrt(d, a) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].sqrt(cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Abs(d, a) => {
-                m.fregs[*d as usize] = m.fregs[*a as usize].abs(cx);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Neg(d, a) => {
-                m.fregs[*d as usize] = m.fregs[*a as usize].neg(cx);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Min(d, a, b) => {
-                m.fregs[*d as usize] = m.fregs[*a as usize].min(&m.fregs[*b as usize], cx);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Max(d, a, b) => {
-                m.fregs[*d as usize] = m.fregs[*a as usize].max(&m.fregs[*b as usize], cx);
-                self.stats.fp_ops += 1;
-            }
-            Instr::ConstF(d, c) => {
-                m.fregs[*d as usize] = D::constant(*c, cx);
-            }
-            Instr::MovF(d, s) => {
-                m.fregs[*d as usize] = m.fregs[*s as usize].clone();
-            }
-            Instr::CastIF(d, s) => {
-                let v = self.need_i64(m, *s)?;
-                m.fregs[*d as usize] = D::constant(v as f64, cx);
-            }
-            Instr::LoadArr(d, arr, idx) => {
-                let i = self.need_i64(m, *idx)?;
-                let a = &m.arrays[*arr as usize];
-                let Some(v) = usize::try_from(i).ok().and_then(|i| a.get(i)) else {
-                    return if in_pass {
-                        Err(FpAbort::NeedConcrete("abstract index out of bounds"))
-                    } else {
-                        Err(FpAbort::Fail(err(format!(
-                            "index {i} out of bounds for `{}` (len {})",
-                            prog.arrays[*arr as usize].name,
-                            a.len()
-                        ))))
-                    };
-                };
-                m.fregs[*d as usize] = v.clone();
-            }
-            Instr::StoreArr(arr, idx, s) => {
-                let i = self.need_i64(m, *idx)?;
-                let name = &prog.arrays[*arr as usize].name;
-                let a = &mut m.arrays[*arr as usize];
-                let len = a.len();
-                let Some(slot) = usize::try_from(i).ok().and_then(|i| a.get_mut(i)) else {
-                    return if in_pass {
-                        Err(FpAbort::NeedConcrete("abstract index out of bounds"))
-                    } else {
-                        Err(FpAbort::Fail(err(format!(
-                            "index {i} out of bounds for `{name}` (len {len})"
-                        ))))
-                    };
-                };
-                *slot = m.fregs[*s as usize].clone();
-            }
-            Instr::ConstI(d, c) => m.iregs[*d as usize] = AbsInt::Known(*c),
-            Instr::AddI(d, a, b) => self.int_bin(m, *d, *a, *b, |x, y| x + y)?,
-            Instr::SubI(d, a, b) => self.int_bin(m, *d, *a, *b, |x, y| x - y)?,
-            Instr::MulI(d, a, b) => self.int_bin(m, *d, *a, *b, |x, y| x * y)?,
-            Instr::DivI(d, a, b) => {
-                if matches!(m.iregs[*b as usize], AbsInt::Top) {
-                    return Err(FpAbort::NeedConcrete("widened divisor"));
-                }
-                let bv = self.need_i64(m, *b)?;
-                if bv == 0 {
-                    return if in_pass {
-                        Err(FpAbort::NeedConcrete("abstract division by zero"))
-                    } else {
-                        Err(FpAbort::Fail(err("integer division by zero")))
-                    };
-                }
-                if matches!(m.iregs[*a as usize], AbsInt::Top) {
-                    m.iregs[*d as usize] = AbsInt::Top;
-                } else {
-                    let av = self.need_i64(m, *a)?;
-                    m.iregs[*d as usize] = AbsInt::Known(av / bv);
-                }
-            }
-            Instr::MovI(d, s) => m.iregs[*d as usize] = m.iregs[*s as usize],
-            Instr::CastFI(d, s) => {
-                let (lo, hi) = m.fregs[*s as usize].range();
-                if in_pass && !(lo == hi && lo.is_finite()) {
-                    // The plain VM truncates the center value; doing that
-                    // to a widened hull would silently fabricate an
-                    // integer. Only exact points are allowed in a pass.
-                    return Err(FpAbort::NeedConcrete("cast of widened float"));
-                }
-                m.iregs[*d as usize] = AbsInt::Known(m.fregs[*s as usize].center() as i64);
-            }
-            Instr::CmpI(op, d, a, b) => {
-                let top_a = matches!(m.iregs[*a as usize], AbsInt::Top);
-                let top_b = matches!(m.iregs[*b as usize], AbsInt::Top);
-                if top_a || top_b {
-                    m.iregs[*d as usize] = AbsInt::Top;
-                } else {
-                    let av = self.need_i64(m, *a)?;
-                    let bv = self.need_i64(m, *b)?;
-                    m.iregs[*d as usize] = AbsInt::Known(i64::from(op.eval(av, bv)));
-                }
-            }
-            Instr::CmpF(op, d, a, b) => {
-                let (x, y) = (&m.fregs[*a as usize], &m.fregs[*b as usize]);
-                let res = match op {
-                    CmpOp::Lt => x.try_lt(y),
-                    CmpOp::Gt => y.try_lt(x),
-                    CmpOp::Le => y.try_lt(x).map(|v| !v),
-                    CmpOp::Ge => x.try_lt(y).map(|v| !v),
-                    CmpOp::Eq | CmpOp::Ne => {
-                        let (xlo, xhi) = x.range();
-                        let (ylo, yhi) = y.range();
-                        if xhi < ylo || yhi < xlo {
-                            Some(*op == CmpOp::Ne)
-                        } else if xlo == xhi && ylo == yhi && xlo == ylo {
-                            Some(*op == CmpOp::Eq)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                m.iregs[*d as usize] = match res {
-                    Some(v) => AbsInt::Known(i64::from(v)),
-                    None => AbsInt::CmpPend {
-                        center: op.eval(x.center(), y.center()),
-                        op: *op,
-                        a: *a,
-                        b: *b,
-                    },
-                };
-            }
-            Instr::Jump(t) => flow = Flow::Goto(*t),
-            Instr::JumpIfZero(c, t) => match m.iregs[*c as usize] {
-                AbsInt::Known(v) => {
-                    if v == 0 {
-                        flow = Flow::Goto(*t);
-                    }
-                }
-                _ => {
-                    flow = Flow::Branch {
-                        reg: *c,
-                        target: *t,
-                    }
-                }
-            },
-            Instr::Protect(r) => {
-                m.protect = m.fregs[*r as usize].protect_ids(cx);
-                m.pending_protect = true;
-            }
-            Instr::SetCapacity(k) => {
-                D::set_capacity(cx, *k as usize);
-                m.pending_capacity = true;
-            }
-            Instr::Ret(r) => flow = Flow::Ret(r.map(|r| m.fregs[r as usize].clone())),
-        }
-        // A capacity pragma covers exactly its (single-FP-op) statement.
-        if m.pending_capacity && self.stats.fp_ops > fp_ops_before {
-            D::reset_capacity(cx);
-            m.pending_capacity = false;
-        }
-        Ok(flow)
-    }
-
-    fn int_bin(
-        &mut self,
-        m: &mut MState<D>,
-        d: u32,
-        a: u32,
-        b: u32,
-        f: impl Fn(i64, i64) -> i64,
-    ) -> Result<(), FpAbort> {
-        let top = matches!(m.iregs[a as usize], AbsInt::Top)
-            || matches!(m.iregs[b as usize], AbsInt::Top);
-        m.iregs[d as usize] = if top {
-            AbsInt::Top
-        } else {
-            let av = self.need_i64(m, a)?;
-            let bv = self.need_i64(m, b)?;
-            AbsInt::Known(f(av, bv))
-        };
-        Ok(())
-    }
-
     /// Whole-program driver: binds parameters like the plain VM, then
-    /// interprets top to bottom, handing every loop header to
-    /// [`Engine::solve`].
+    /// runs top to bottom, pausing at every loop header to hand the loop
+    /// to [`Engine::solve`].
     fn run_program(&mut self, args: &[ArgValue]) -> Result<RunResult<D>, FpAbort> {
-        let prog = self.prog;
-        let cx = self.cx;
-        if args.len() != prog.params.len() {
-            return Err(FpAbort::Fail(err(format!(
-                "{} arguments provided, {} expected",
-                args.len(),
-                prog.params.len()
-            ))));
-        }
-        let zero = D::constant(0.0, cx);
-        let mut m = MState {
-            fregs: vec![zero; prog.n_fregs.max(1)],
-            iregs: vec![AbsInt::Known(0); prog.n_iregs.max(1)],
-            arrays: prog
-                .arrays
-                .iter()
-                .map(|a| vec![D::constant(0.0, cx); a.len])
-                .collect(),
-            protect: Vec::new(),
-            pending_protect: false,
-            pending_capacity: false,
-        };
-        let (fusions_at_entry, condensations_at_entry) = D::fusion_counters(cx);
-        for ((name, binding), arg) in prog.params.iter().zip(args) {
-            match (binding, arg) {
-                (ParamBinding::Float(r), ArgValue::Float(x)) => {
-                    m.fregs[*r as usize] = D::from_input(*x, cx);
-                }
-                (ParamBinding::Int(r), ArgValue::Int(v)) => {
-                    m.iregs[*r as usize] = AbsInt::Known(*v);
-                }
-                (ParamBinding::Array(a), ArgValue::Array(xs)) => {
-                    let decl = &prog.arrays[*a as usize];
-                    if decl.len != 0 && decl.len != xs.len() {
-                        return Err(FpAbort::Fail(err(format!(
-                            "array `{name}` expects {} elements, got {}",
-                            decl.len,
-                            xs.len()
-                        ))));
-                    }
-                    m.arrays[*a as usize] = xs.iter().map(|&x| D::from_input(x, cx)).collect();
-                }
-                (b, a) => {
-                    return Err(FpAbort::Fail(err(format!(
-                        "argument `{name}`: expected {b:?}, got {a:?}"
-                    ))));
-                }
-            }
-        }
-
+        let (prog, cx) = (self.prog, self.cx);
+        let (mut m, entry) = MState::start(prog, args, cx, &mut NoTrace).map_err(FpAbort::Fail)?;
         let mut pc = 0usize;
-        let mut ret: Option<D> = None;
-        while pc < prog.code.len() {
+        let ret = loop {
+            if pc >= prog.code.len() {
+                break None;
+            }
             if let Some(region) = self.table.region_with_header(pc) {
                 match self.solve(&mut m, region)? {
                     LoopOut::Exit(p) => {
                         pc = p;
                         continue;
                     }
-                    LoopOut::Ret(r) => {
-                        ret = r;
-                        break;
-                    }
+                    LoopOut::Ret(r) => break r,
                 }
             }
-            if self.stats.instrs > FUEL {
-                return Err(FpAbort::Fail(err(
-                    "instruction budget exhausted (infinite loop?)",
-                )));
-            }
-            match self.step(&mut m, pc, false)? {
-                Flow::Next => pc += 1,
-                Flow::Goto(t) => pc = t,
-                Flow::Ret(r) => {
-                    ret = r;
-                    break;
-                }
-                Flow::Branch { reg, target } => {
+            let table = self.table;
+            let at_header = |_, to| table.region_with_header(to).is_some();
+            match m.run(
+                prog,
+                cx,
+                &mut pc,
+                &mut self.stats,
+                false,
+                &mut NoTrace,
+                at_header,
+            )? {
+                Stop::Pause => {}
+                Stop::Ret(r) => break r,
+                Stop::Branch { reg, target } => {
                     // An undecided branch outside any loop: the plain VM's
                     // center decision, counted undecided.
-                    if self.need_i64(&mut m, reg)? == 0 {
-                        pc = target;
+                    pc = if AbsInt::read(&mut m.iregs, reg, &mut self.stats)? == 0 {
+                        target
                     } else {
-                        pc += 1;
-                    }
+                        pc + 1
+                    };
                 }
             }
-        }
-
-        let (fusions_at_exit, condensations_at_exit) = D::fusion_counters(cx);
-        self.stats.fusions = fusions_at_exit - fusions_at_entry;
-        self.stats.condensations = condensations_at_exit - condensations_at_entry;
-        let arrays_out: Vec<(String, Vec<D>)> = prog
-            .params
-            .iter()
-            .filter_map(|(name, b)| match b {
-                ParamBinding::Array(a) => Some((name.clone(), m.arrays[*a as usize].clone())),
-                _ => None,
-            })
-            .collect();
-        Ok(RunResult {
-            ret,
-            arrays: arrays_out,
-            stats: self.stats,
-        })
+        };
+        Ok(m.finish(prog, cx, ret, self.stats, entry))
     }
 
     /// Phase A: run the loop concretely for up to `attempt_budget`
     /// back-edge traversals. Any abstract obstacle (a data-dependent
-    /// guard, a widened integer) aborts — the caller restores the entry
-    /// state and falls through to the abstract solver.
-    fn attempt(&mut self, m: &mut MState<D>, region: LoopRegion) -> Result<AttemptOut<D>, FpAbort> {
+    /// guard, a widened integer) aborts with `None` — the caller restores
+    /// the entry state and falls through to the abstract solver.
+    fn attempt(
+        &mut self,
+        m: &mut MState<D>,
+        region: LoopRegion,
+    ) -> Result<Option<LoopOut>, FpAbort> {
         let mut pc = region.header;
         let mut traversals: u64 = 0;
         loop {
             if !region.contains(pc) {
-                return Ok(AttemptOut::Exit(pc));
+                return Ok(Some(LoopOut::Exit(pc)));
             }
-            if self.stats.instrs > FUEL {
-                return Err(FpAbort::Fail(err(
-                    "instruction budget exhausted (infinite loop?)",
-                )));
-            }
-            match self.step(m, pc, false) {
-                Ok(Flow::Next) => pc += 1,
-                Ok(Flow::Goto(t)) => {
-                    if t == region.header {
+            let back_or_out = |_, to| to == region.header || !region.contains(to);
+            match m.run(
+                self.prog,
+                self.cx,
+                &mut pc,
+                &mut self.stats,
+                false,
+                &mut NoTrace,
+                back_or_out,
+            ) {
+                Ok(Stop::Pause) => {
+                    if pc == region.header {
                         traversals += 1;
                         if traversals > self.cfg.attempt_budget {
-                            return Ok(AttemptOut::Abort);
+                            return Ok(None);
                         }
                     }
-                    pc = t;
                 }
-                Ok(Flow::Ret(r)) => return Ok(AttemptOut::Ret(r)),
-                Ok(Flow::Branch { .. }) => return Ok(AttemptOut::Abort),
+                Ok(Stop::Ret(r)) => return Ok(Some(LoopOut::Ret(r))),
+                Ok(Stop::Branch { .. }) | Err(FpAbort::NeedConcrete(_)) => return Ok(None),
                 Err(FpAbort::Fail(e)) => return Err(FpAbort::Fail(e)),
-                Err(FpAbort::NeedConcrete(_)) => return Ok(AttemptOut::Abort),
             }
         }
     }
@@ -838,23 +586,15 @@ impl<D: Domain> Engine<'_, D> {
     /// Solves one loop: attempt, iterate-and-widen, narrow, collect (the
     /// pipeline of the module docs). On success the machine state holds
     /// the loop's exit state and the returned pc continues after it.
-    fn solve(&mut self, m: &mut MState<D>, region: LoopRegion) -> Result<LoopOut<D>, FpAbort> {
+    fn solve(&mut self, m: &mut MState<D>, region: LoopRegion) -> Result<LoopOut, FpAbort> {
         let stats_at_entry = self.stats;
         let snapshot = m.clone();
-        match self.attempt(m, region)? {
-            AttemptOut::Exit(pc) => {
-                safegen_telemetry::metrics::metrics().loops.unrolled.inc();
-                return Ok(LoopOut::Exit(pc));
-            }
-            AttemptOut::Ret(r) => {
-                safegen_telemetry::metrics::metrics().loops.unrolled.inc();
-                return Ok(LoopOut::Ret(r));
-            }
-            AttemptOut::Abort => {
-                self.stats = stats_at_entry;
-                *m = snapshot.clone();
-            }
+        if let Some(out) = self.attempt(m, region)? {
+            safegen_telemetry::metrics::metrics().loops.unrolled.inc();
+            return Ok(out);
         }
+        self.stats = stats_at_entry;
+        *m = snapshot.clone();
 
         let written = written_sets(&self.prog.code, region);
         let entry = self.hulls_of(&snapshot, &written);
@@ -974,33 +714,54 @@ impl<D: Domain> Engine<'_, D> {
                     }
                 }
             }
-            fuel = fuel
-                .checked_sub(1)
-                .ok_or(FpAbort::NeedConcrete("abstract pass fuel exhausted"))?;
-            match self.step(&mut m, pc, true)? {
-                Flow::Next => pc += 1,
-                Flow::Goto(t) => {
-                    if t == region.header {
+            if fuel == 0 {
+                return Err(FpAbort::NeedConcrete("abstract pass fuel exhausted"));
+            }
+            // Control comes back at the back edge, on leaving the body, at
+            // an inner loop header, after any backward jump, and when the
+            // pass fuel (one unit per executed instruction) runs out.
+            let table = self.table;
+            let mut backward = false;
+            let pause = |from, to| {
+                fuel -= 1;
+                backward = to < from;
+                fuel == 0
+                    || to == region.header
+                    || !region.contains(to)
+                    || backward
+                    || table.region_with_header(to).is_some()
+            };
+            match m.run(
+                self.prog,
+                self.cx,
+                &mut pc,
+                &mut self.stats,
+                true,
+                &mut NoTrace,
+                pause,
+            )? {
+                Stop::Pause => {
+                    if pc == region.header {
                         return Ok(PassOut::Back(m));
                     }
-                    if t < pc && self.table.region_with_header(t).is_none() {
+                    if backward && table.region_with_header(pc).is_none() {
                         // A decided backward jump that is neither our back
                         // edge nor an inner loop header (defensive; the
                         // structured front end never emits this).
                         return Err(FpAbort::NeedConcrete("unstructured backward jump"));
                     }
-                    pc = t;
                 }
-                Flow::Ret(_) => {
+                Stop::Ret(_) => {
                     return Err(FpAbort::NeedConcrete("return inside abstract loop"));
                 }
-                Flow::Branch { reg, target } => {
+                Stop::Branch { reg, target } => {
+                    fuel -= 1; // the branch ran without reaching `pause`
                     let jump_exits = !region.contains(target);
                     let fall_exits = pc == region.back_jump;
                     if !jump_exits && !fall_exits {
                         // Undecided branch fully inside the body: the
                         // plain VM's center decision, counted undecided.
-                        if self.need_i64(&mut m, reg)? == 0 {
+                        if AbsInt::read(&mut m.iregs, reg, &mut self.stats)? == 0 {
                             pc = target;
                         } else {
                             pc += 1;

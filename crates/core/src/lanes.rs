@@ -28,7 +28,11 @@
 //!
 //! * A lane that fails (argument mismatch, out-of-bounds access,
 //!   division by zero, fuel) gets the scalar path's exact error; the
-//!   other lanes continue unaffected.
+//!   other lanes continue unaffected. The column loop is this engine's
+//!   own, but each lane is bound by the scalar binder, and the loop
+//!   shares the scalar error constructors and float-comparison decision
+//!   (`crate::exec`), so the two cannot drift apart on what a failure or
+//!   an undecided compare is.
 //! * Instruction/fp-op counters are kept per *group*: every lane in a
 //!   group has executed the identical instruction path, so the counts
 //!   are equal by construction and are materialized per lane when the
@@ -39,8 +43,11 @@
 //!   by definition.
 
 use crate::domain::{Domain, FpBinOp, FpUnOp};
-use crate::exec::{exec_inner, ArgValue, ExecError, NoTrace, RunResult, RunStats, FUEL};
-use crate::program::{CmpOp, FixedProgram, OpCode, ParamBinding, Program};
+use crate::exec::{
+    array_index, cmp_f_decide, div_by_zero, fuel_exhausted, ArgValue, ExecError, Machine, NoTrace,
+    RunResult, RunStats, FUEL,
+};
+use crate::program::{FixedProgram, OpCode, ParamBinding, Program};
 use safegen_telemetry::metrics::metrics;
 
 /// Per-dispatch metric tallies. The interpreter accumulates these in
@@ -73,12 +80,6 @@ impl LaneTally {
 
 /// Maximum lane count per [`exec_lanes`] call (lane masks are `u64`).
 pub const MAX_LANES: usize = 64;
-
-fn err(message: impl Into<String>) -> ExecError {
-    ExecError {
-        message: message.into(),
-    }
-}
 
 /// Iterates the set bit positions of a lane mask, lowest first.
 #[derive(Clone, Copy)]
@@ -243,9 +244,10 @@ fn un_cols<D: Clone>(
 /// Offers a full-width binary operation to [`Domain::bin_kernel`],
 /// writing straight into the destination column. Distinct columns are
 /// split with `get_disjoint_mut`; when the destination aliases a source
-/// the aliased column is snapshotted into `scratch` first so the kernel
-/// still sees non-overlapping slices. Returns `false` (nothing written)
-/// when the domain has no kernel for `op`.
+/// the domain is first asked with empty columns whether it has a kernel
+/// for `op` at all, and only then is the aliased column snapshotted into
+/// `scratch` so the kernel still sees non-overlapping slices. Returns
+/// `false` (nothing written) when the domain has no kernel for `op`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn bin_kernel_cols<D: Domain>(
@@ -271,6 +273,8 @@ fn bin_kernel_cols<D: Domain>(
                 .expect("distinct register columns are disjoint");
             D::bin_kernel(op, ac, ac, dc, cxs)
         }
+    } else if !D::bin_kernel(op, &[], &[], &mut [], &[]) {
+        false
     } else {
         // The destination aliases a source: snapshot the destination
         // column so the kernel reads frozen inputs while overwriting it.
@@ -309,6 +313,8 @@ fn un_kernel_cols<D: Domain>(
             .get_disjoint_mut([ds..ds + w, as_..as_ + w])
             .expect("distinct register columns are disjoint");
         D::un_kernel(op, ac, dc, cxs)
+    } else if !D::un_kernel(op, &[], &mut [], &[]) {
+        false
     } else {
         scratch.clear();
         scratch.extend_from_slice(&regs[ds..ds + w]);
@@ -316,27 +322,23 @@ fn un_kernel_cols<D: Domain>(
     }
 }
 
-/// The scalar interpreter's sound float-comparison decision: `Some` when
-/// the enclosures decide it, `None` when they overlap.
-#[inline(always)]
-fn cmp_f_sound<D: Domain>(op: CmpOp, x: &D, y: &D) -> Option<bool> {
-    match op {
-        CmpOp::Lt => x.try_lt(y),
-        CmpOp::Gt => y.try_lt(x),
-        CmpOp::Le => y.try_lt(x).map(|b| !b),
-        CmpOp::Ge => x.try_lt(y).map(|b| !b),
-        CmpOp::Eq | CmpOp::Ne => {
-            let (xlo, xhi) = x.range();
-            let (ylo, yhi) = y.range();
-            if xhi < ylo || yhi < xlo {
-                Some(op == CmpOp::Ne)
-            } else if xlo == xhi && ylo == yhi && xlo == ylo {
-                Some(op == CmpOp::Eq)
-            } else {
-                None
-            }
+/// Interleaves per-lane register files into one lane-major column file,
+/// `out[r * w + l] = files[l][r]` for `r < n`; a lane without a file gets
+/// `fill(l)`.
+fn interleave<T>(files: Vec<Option<Vec<T>>>, n: usize, mut fill: impl FnMut(usize) -> T) -> Vec<T> {
+    let w = files.len();
+    let mut its: Vec<_> = files.into_iter().map(|f| f.map(Vec::into_iter)).collect();
+    let mut out = Vec::with_capacity(n * w);
+    for _ in 0..n {
+        for (l, it) in its.iter_mut().enumerate() {
+            out.push(
+                it.as_mut()
+                    .and_then(Iterator::next)
+                    .unwrap_or_else(|| fill(l)),
+            );
         }
     }
+    out
 }
 
 /// Executes `prog` on up to [`MAX_LANES`] input sets at once under
@@ -364,48 +366,35 @@ pub fn exec_lanes<D: Domain>(
     assert_eq!(w, cxs.len(), "one domain context per lane");
     let full: u64 = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
 
-    // --- Per-lane argument validation (pure; no context mutation). ---
+    // --- Per-lane binding: the scalar binder, on each lane's own
+    // context, so every lane sees the scalar path's context calls. ---
     let mut errs: Vec<Option<ExecError>> = vec![None; w];
-    let mut arr_len: Vec<usize> = prog.arrays.iter().map(|a| a.len).collect();
-    let mut ragged = false;
-    for (l, args) in inputs.iter().enumerate() {
-        errs[l] = validate_args(prog, args);
+    let mut bound = Vec::with_capacity(w);
+    for (l, (args, cx)) in inputs.iter().zip(cxs).enumerate() {
+        let b = Machine::<D, i64>::start(prog, args, cx, &mut NoTrace);
+        bound.push(b.map_err(|e| errs[l] = Some(e)).ok());
     }
     // Unsized (pointer) arrays take their length from the bound argument;
     // all surviving lanes must agree or the columns would be ragged.
-    for (j, decl) in prog.arrays.iter().enumerate() {
-        if decl.len != 0 {
-            continue;
-        }
-        let mut seen: Option<usize> = None;
-        for (l, args) in inputs.iter().enumerate() {
-            if errs[l].is_some() {
-                continue;
-            }
-            for ((_, binding), arg) in prog.params.iter().zip(args) {
-                if let (ParamBinding::Array(a), ArgValue::Array(xs)) = (binding, arg) {
-                    if *a as usize == j {
-                        match seen {
-                            None => seen = Some(xs.len()),
-                            Some(n) if n != xs.len() => ragged = true,
-                            Some(_) => {}
-                        }
-                    }
-                }
-            }
-        }
-        arr_len[j] = seen.unwrap_or(0);
-    }
-    if ragged {
+    let lens = |m: &Machine<D, i64>| -> Vec<usize> { m.arrays.iter().map(Vec::len).collect() };
+    let mut live_lens = bound.iter().flatten().map(|(m, _)| lens(m));
+    let arr_len = live_lens
+        .next()
+        .unwrap_or_else(|| vec![0; prog.arrays.len()]);
+    if live_lens.any(|l| l != arr_len) {
         let m = metrics();
         m.lanes.dispatches.inc();
         m.lanes.lanes_dispatched.add(w as u64);
         m.lanes.ragged_fallbacks.inc();
         // Per-lane scalar execution: bit-identical by definition.
-        return inputs
-            .iter()
+        return bound
+            .into_iter()
+            .zip(errs)
             .zip(cxs)
-            .map(|(args, cx)| exec_inner(prog, args, cx, &mut NoTrace))
+            .map(|((b, e), cx)| match b {
+                Some((m, entry)) => m.exec(prog, cx, entry, &mut NoTrace),
+                None => Err(e.expect("a lane that did not bind has an error")),
+            })
             .collect();
     }
 
@@ -415,63 +404,32 @@ pub fn exec_lanes<D: Domain>(
         .filter(|(_, e)| e.is_none())
         .fold(0u64, |m, (l, _)| m | (1u64 << l));
 
-    // --- SoA state, initialized in the scalar path's per-lane context
-    // call order: one zero constant for the register file, one per
-    // array, then the parameter bindings in declaration order. ---
-    let nf = prog.n_fregs.max(1);
-    let ni = prog.n_iregs.max(1);
-    let zeros: Vec<D> = cxs.iter().map(|cx| D::constant(0.0, cx)).collect();
-    let mut fregs: Vec<D> = Vec::with_capacity(nf * w);
-    for _ in 0..nf {
-        fregs.extend(zeros.iter().cloned());
-    }
-    let mut iregs: Vec<i64> = vec![0; ni * w];
-    let mut arrays: Vec<Vec<D>> = Vec::with_capacity(prog.arrays.len());
-    for &len in &arr_len {
-        let col_zeros: Vec<D> = cxs.iter().map(|cx| D::constant(0.0, cx)).collect();
-        let mut a: Vec<D> = Vec::with_capacity(len * w);
-        for _ in 0..len {
-            a.extend(col_zeros.iter().cloned());
-        }
-        arrays.push(a);
-    }
-    drop(zeros);
-
-    // Counter snapshots (per lane): stats report per-run deltas.
-    let counters0: Vec<(u64, u64)> = cxs.iter().map(|cx| D::fusion_counters(cx)).collect();
-
-    // Bind parameters on the surviving lanes, parameter-major so each
-    // lane's context sees the scalar binding order.
-    for (p, (_, binding)) in prog.params.iter().enumerate() {
-        match binding {
-            ParamBinding::Float(r) => {
-                let base = *r as usize * w;
-                for l in MaskIter(init_mask) {
-                    if let ArgValue::Float(x) = &inputs[l][p] {
-                        fregs[base + l] = D::from_input(*x, &cxs[l]);
-                    }
-                }
-            }
-            ParamBinding::Int(r) => {
-                let base = *r as usize * w;
-                for l in MaskIter(init_mask) {
-                    if let ArgValue::Int(v) = &inputs[l][p] {
-                        iregs[base + l] = *v;
-                    }
-                }
-            }
-            ParamBinding::Array(a) => {
-                let col = &mut arrays[*a as usize];
-                for l in MaskIter(init_mask) {
-                    if let ArgValue::Array(xs) = &inputs[l][p] {
-                        for (e, &x) in xs.iter().enumerate() {
-                            col[e * w + l] = D::from_input(x, &cxs[l]);
-                        }
-                    }
-                }
-            }
+    // --- SoA state: the lanes' bound machines interleaved into columns
+    // (a lane that failed to bind gets zeros it never reads). ---
+    let mut counters0 = Vec::with_capacity(w);
+    let (mut fr, mut ir) = (Vec::with_capacity(w), Vec::with_capacity(w));
+    let mut ar: Vec<Vec<Option<Vec<D>>>> = vec![Vec::with_capacity(w); prog.arrays.len()];
+    for b in bound {
+        let (m, entry) = b.map_or((None, (0, 0)), |(m, e)| (Some(m), e));
+        counters0.push(entry);
+        let (fregs, iregs, arrays) = m.map_or((None, None, None), |m| {
+            (Some(m.fregs), Some(m.iregs), Some(m.arrays))
+        });
+        fr.push(fregs);
+        ir.push(iregs);
+        let mut arrays = arrays.map(Vec::into_iter);
+        for col in &mut ar {
+            col.push(arrays.as_mut().and_then(Iterator::next));
         }
     }
+    let zero = |l: usize| D::constant(0.0, &cxs[l]);
+    let mut fregs = interleave(fr, prog.n_fregs.max(1), zero);
+    let mut iregs = interleave(ir, prog.n_iregs.max(1), |_| 0);
+    let mut arrays: Vec<Vec<D>> = ar
+        .into_iter()
+        .zip(&arr_len)
+        .map(|(files, &len)| interleave(files, len, zero))
+        .collect();
 
     // --- The lane dispatch loop. ---
     //
@@ -563,28 +521,10 @@ pub fn exec_lanes<D: Domain>(
                 }
                 continue 'groups;
             }
-            g.instrs += 1;
-            if g.acc_max + g.instrs > FUEL {
-                // The bound tripped: check each lane's exact count
-                // (post-merge lanes can have different totals).
-                let mut bad = 0u64;
-                for l in MaskIter(g.mask) {
-                    if acc_instrs[l] + g.instrs > FUEL {
-                        errs[l] = Some(err("instruction budget exhausted (infinite loop?)"));
-                        bad |= 1 << l;
-                    }
-                }
-                g.mask &= !bad;
-                if g.mask == 0 {
-                    continue 'groups;
-                }
-                g.acc_max = MaskIter(g.mask).map(|l| acc_instrs[l]).max().unwrap_or(0);
-            }
-            let ins = fixed.ops[g.pc];
-            let fp_before = g.fp_ops;
-
-            // The superinstructions' mid-op instruction tick, with the
-            // same bounded-then-precise fuel check as above.
+            // One instruction tick (a superinstruction ticks twice) and
+            // the fuel check: when the group bound trips, check each
+            // lane's exact count (post-merge lanes can have different
+            // totals).
             macro_rules! fuel_check {
                 () => {
                     g.instrs += 1;
@@ -592,8 +532,7 @@ pub fn exec_lanes<D: Domain>(
                         let mut bad = 0u64;
                         for l in MaskIter(g.mask) {
                             if acc_instrs[l] + g.instrs > FUEL {
-                                errs[l] =
-                                    Some(err("instruction budget exhausted (infinite loop?)"));
+                                errs[l] = Some(fuel_exhausted());
                                 bad |= 1 << l;
                             }
                         }
@@ -605,6 +544,10 @@ pub fn exec_lanes<D: Domain>(
                     }
                 };
             }
+            fuel_check!();
+            let ins = fixed.ops[g.pc];
+            let fp_before = g.fp_ops;
+
             // Consumes the pending protect set on the first FP op.
             // Protect-free full-width groups first offer the whole
             // column to the domain's SIMD kernel ([`Domain::bin_kernel`]).
@@ -698,14 +641,7 @@ pub fn exec_lanes<D: Domain>(
                     let (db, ab, bb) = ($d * w, $a * w, $b * w);
                     for_lanes(g.mask, full, w, |l| {
                         let (x, y) = (&fregs[ab + l], &fregs[bb + l]);
-                        let decided = match cmp_f_sound($op, x, y) {
-                            Some(v) => v,
-                            None => {
-                                undecided[l] += 1;
-                                $op.eval(x.center(), y.center())
-                            }
-                        };
-                        iregs[db + l] = i64::from(decided);
+                        iregs[db + l] = i64::from(cmp_f_decide($op, x, y, &mut undecided[l]));
                     });
                 }};
             }
@@ -772,19 +708,12 @@ pub fn exec_lanes<D: Domain>(
                     let name = &prog.arrays[a].name;
                     let mut bad = 0u64;
                     for l in MaskIter(g.mask) {
-                        let i = iregs[ib + l];
-                        match usize::try_from(i) {
-                            Err(_) => {
-                                errs[l] = Some(err("negative array index"));
+                        match array_index(iregs[ib + l], len, name) {
+                            Ok(i) => fregs[db + l] = col[i * w + l].clone(),
+                            Err(e) => {
+                                errs[l] = Some(e);
                                 bad |= 1 << l;
                             }
-                            Ok(iu) if iu >= len => {
-                                errs[l] = Some(err(format!(
-                                    "index {i} out of bounds for `{name}` (len {len})"
-                                )));
-                                bad |= 1 << l;
-                            }
-                            Ok(iu) => fregs[db + l] = col[iu * w + l].clone(),
                         }
                     }
                     g.mask &= !bad;
@@ -796,19 +725,12 @@ pub fn exec_lanes<D: Domain>(
                     let col = &mut arrays[d];
                     let mut bad = 0u64;
                     for l in MaskIter(g.mask) {
-                        let i = iregs[ib + l];
-                        match usize::try_from(i) {
-                            Err(_) => {
-                                errs[l] = Some(err("negative array index"));
+                        match array_index(iregs[ib + l], len, name) {
+                            Ok(i) => col[i * w + l] = fregs[sb + l].clone(),
+                            Err(e) => {
+                                errs[l] = Some(e);
                                 bad |= 1 << l;
                             }
-                            Ok(iu) if iu >= len => {
-                                errs[l] = Some(err(format!(
-                                    "index {i} out of bounds for `{name}` (len {len})"
-                                )));
-                                bad |= 1 << l;
-                            }
-                            Ok(iu) => col[iu * w + l] = fregs[sb + l].clone(),
                         }
                     }
                     g.mask &= !bad;
@@ -829,7 +751,7 @@ pub fn exec_lanes<D: Domain>(
                     for l in MaskIter(g.mask) {
                         let bv = iregs[bb + l];
                         if bv == 0 {
-                            errs[l] = Some(err("integer division by zero"));
+                            errs[l] = Some(div_by_zero());
                             bad |= 1 << l;
                         } else {
                             iregs[db + l] = iregs[ab + l] / bv;
@@ -992,38 +914,6 @@ pub fn exec_lanes<D: Domain>(
             })
         })
         .collect()
-}
-
-/// The scalar binder's argument checks, without its context mutations:
-/// returns the exact error the scalar path would produce, or `None`.
-fn validate_args(prog: &Program, args: &[ArgValue]) -> Option<ExecError> {
-    if args.len() != prog.params.len() {
-        return Some(err(format!(
-            "{} arguments provided, {} expected",
-            args.len(),
-            prog.params.len()
-        )));
-    }
-    for ((name, binding), arg) in prog.params.iter().zip(args) {
-        match (binding, arg) {
-            (ParamBinding::Float(_), ArgValue::Float(_)) => {}
-            (ParamBinding::Int(_), ArgValue::Int(_)) => {}
-            (ParamBinding::Array(a), ArgValue::Array(xs)) => {
-                let decl = &prog.arrays[*a as usize];
-                if decl.len != 0 && decl.len != xs.len() {
-                    return Some(err(format!(
-                        "array `{name}` expects {} elements, got {}",
-                        decl.len,
-                        xs.len()
-                    )));
-                }
-            }
-            (b, a) => {
-                return Some(err(format!("argument `{name}`: expected {b:?}, got {a:?}")));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

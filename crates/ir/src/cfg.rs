@@ -70,8 +70,7 @@ impl CmpOp {
         }
     }
 
-    /// Short lowercase name (`lt`, `le`, …) — used by the IR dump and the
-    /// CFG-based C backend's `aa_cmp_*` call names.
+    /// Short lowercase name (`lt`, `le`, …) — used by the IR dump.
     pub fn mnemonic(self) -> &'static str {
         match self {
             CmpOp::Lt => "lt",

@@ -194,6 +194,34 @@ fn unroll_mode_still_bit_matches_on_bounded_trip_counts() {
 }
 
 #[test]
+fn errors_after_a_loop_are_the_same_in_every_loop_mode() {
+    // The loops finish (concretely or solved); the failing access comes
+    // after them, so every mode must report the plain VM's error.
+    let compiled = compile(
+        "double f(double a[4], int k) {
+            double s = 0.0;
+            for (int i = 0; i < 4; i++) { s = s + a[i]; }
+            for (int j = 0; j < 4; j++) { s = s * 0.5 + a[j]; }
+            return s + a[k];
+        }",
+    );
+    for k in [-1, 4] {
+        let args = [ArgValue::Array(vec![1.0, 2.0, 3.0, 4.0]), ArgValue::Int(k)];
+        for config in [RunConfig::interval_f64(), RunConfig::affine_f64(8)] {
+            let run = |mode| compiled.run("f", &args, &config.clone().with_loop_mode(mode));
+            let unroll = run(LoopMode::Unroll).unwrap_err();
+            assert_eq!(run(LoopMode::Fixpoint).unwrap_err(), unroll, "k={k}");
+            assert_eq!(run(LoopMode::Auto).unwrap_err(), unroll, "k={k}");
+            assert_eq!(
+                compiled.run("f", &args, &fix(config)).unwrap_err(),
+                unroll,
+                "k={k}"
+            );
+        }
+    }
+}
+
+#[test]
 fn fixpoint_artifact_carries_capability_flag_and_rejects_when_forged() {
     let mut opts = BuildOptions::new("decay.c");
     opts.fixpoint = true;
